@@ -9,7 +9,6 @@ import (
 	"monitorless/internal/features"
 	"monitorless/internal/ml/forest"
 	"monitorless/internal/ml/tree"
-	"monitorless/internal/pcp"
 )
 
 func TestBundleRoundTripIdenticalPredictions(t *testing.T) {
@@ -58,24 +57,41 @@ func TestBundleRoundTripIdenticalPredictions(t *testing.T) {
 	}
 }
 
-func TestBundleLegacyFallback(t *testing.T) {
+// TestBundleRejectsPreV3 pins the format floor: a bare model gob (the
+// format before bundles) and a version-2 bundle are both refused with a
+// version error rather than served without a training fingerprint.
+func TestBundleRejectsPreV3(t *testing.T) {
 	m, _ := sharedModel(t)
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil { // legacy bare-model format
+	blob, err := m.SaveBytes()
+	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := LoadBundle(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("legacy model did not load: %v", err)
+	var v2 bytes.Buffer
+	if err := gob.NewEncoder(&v2).Encode(bundleWire{
+		Magic: bundleMagic, Version: 2, SchemaHash: m.RawSchema.Hash(), ModelBlob: blob,
+	}); err != nil {
+		t.Fatal(err)
 	}
-	if b.Version != 0 {
-		t.Errorf("legacy Version = %d, want 0", b.Version)
+	for name, data := range map[string][]byte{"bare model gob": blob, "v2 bundle": v2.Bytes()} {
+		_, err := LoadBundle(bytes.NewReader(data))
+		if err == nil || !strings.Contains(err.Error(), "format version") || !strings.Contains(err.Error(), "not supported") {
+			t.Errorf("%s: got %v, want a format-version refusal", name, err)
+		}
 	}
-	if b.SchemaHash != pcp.HashNames(m.RawNames()) {
-		t.Errorf("legacy SchemaHash not recomputed from model")
+}
+
+// TestSaveBundleRequiresFingerprint: a model without a training
+// fingerprint makes a bundle no build loads, so SaveBundle refuses it.
+func TestSaveBundleRequiresFingerprint(t *testing.T) {
+	shared, _ := sharedModel(t)
+	m := *shared
+	m.Fingerprint = nil
+	var buf bytes.Buffer
+	if err := SaveBundle(&buf, &m, 5); err == nil || !strings.Contains(err.Error(), "fingerprint") {
+		t.Fatalf("SaveBundle without fingerprint: got %v, want a fingerprint error", err)
 	}
-	if b.Model.TrainSamples != m.TrainSamples {
-		t.Errorf("legacy model fields lost")
+	if buf.Len() != 0 {
+		t.Fatalf("SaveBundle wrote %d bytes for a refused model", buf.Len())
 	}
 }
 
@@ -107,9 +123,6 @@ func TestBundleV3RoundTripFingerprintAndCalibration(t *testing.T) {
 	}
 	if b.Version != 3 {
 		t.Fatalf("Version = %d, want 3", b.Version)
-	}
-	if b.Legacy() {
-		t.Fatal("v3 bundle reported as legacy")
 	}
 	if b.Model.Threshold != thr || b.Model.Forest.Threshold() != thr {
 		t.Fatalf("calibrated threshold lost: model %v forest %v, want %v",
@@ -172,29 +185,6 @@ func TestBundleCrossVersionRefusal(t *testing.T) {
 	if _, err := LoadBundle(bytes.NewReader(mismatched)); err == nil ||
 		!strings.Contains(err.Error(), "does not match") {
 		t.Fatalf("mismatched schema hash: got %v, want hash refusal", err)
-	}
-}
-
-// TestBundleLegacyNoFingerprint pins the downgrade path: a model without
-// a fingerprint is written as version 2, loads cleanly, and reports
-// itself legacy so serving can raise the model_bundle_legacy gauge.
-func TestBundleLegacyNoFingerprint(t *testing.T) {
-	shared, _ := sharedModel(t)
-	m := *shared
-	m.Fingerprint = nil
-	var buf bytes.Buffer
-	if err := SaveBundle(&buf, &m, 5); err != nil {
-		t.Fatal(err)
-	}
-	b, err := LoadBundle(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Version != 2 {
-		t.Fatalf("fingerprint-less bundle Version = %d, want 2", b.Version)
-	}
-	if !b.Legacy() {
-		t.Fatal("fingerprint-less bundle not reported legacy")
 	}
 }
 

@@ -57,8 +57,8 @@ type Model struct {
 	RawSchema frame.Schema
 	// Fingerprint is the training-distribution sketch of the raw frame
 	// (per-column moments + quantile occupancies), the drift-detection
-	// reference the lifecycle plane scores serving traffic against. Nil
-	// for models loaded from pre-fingerprint bundles.
+	// reference the lifecycle plane scores serving traffic against.
+	// Bundles and the serving plane require it.
 	Fingerprint *frame.Fingerprint
 	// TrainSamples and TrainSaturatedFrac document the training set.
 	TrainSamples       int
@@ -240,15 +240,11 @@ type FeatureImportance struct {
 	Importance float64
 }
 
-// modelWire is the gob image of a model. RawSchema is the authoritative
-// schema; RawNames is kept on the wire so files written by this version
-// still carry the name list older readers expect, and so files written by
-// older versions (names only) still load.
+// modelWire is the gob image of a model.
 type modelWire struct {
 	PipelineBlob       []byte
 	Forest             *forest.Forest
 	Threshold          float64
-	RawNames           []string
 	RawSchema          frame.Schema
 	Fingerprint        *frame.Fingerprint
 	TrainSamples       int
@@ -265,7 +261,6 @@ func (m *Model) Save(w io.Writer) error {
 		PipelineBlob:       blob,
 		Forest:             m.Forest,
 		Threshold:          m.Threshold,
-		RawNames:           m.RawSchema.Names(),
 		RawSchema:          m.RawSchema,
 		Fingerprint:        m.Fingerprint,
 		TrainSamples:       m.TrainSamples,
@@ -277,10 +272,7 @@ func (m *Model) Save(w io.Writer) error {
 	return nil
 }
 
-// Load deserializes a model written by Save. Models written before the
-// columnar schema (names only) get a bare schema reconstructed from the
-// name list; the pipeline's RawCols carry the full column metadata when
-// it is needed.
+// Load deserializes a model written by Save.
 func Load(r io.Reader) (*Model, error) {
 	var wire modelWire
 	if err := gob.NewDecoder(r).Decode(&wire); err != nil {
@@ -290,22 +282,11 @@ func Load(r io.Reader) (*Model, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: load: %w", err)
 	}
-	schema := wire.RawSchema
-	if len(schema) == 0 {
-		if len(pipe.RawCols) == len(wire.RawNames) {
-			schema = frame.Schema(pipe.RawCols).Clone()
-		} else {
-			schema = make(frame.Schema, len(wire.RawNames))
-			for i, n := range wire.RawNames {
-				schema[i] = frame.Col{Name: n}
-			}
-		}
-	}
 	return &Model{
 		Pipeline:           pipe,
 		Forest:             wire.Forest,
 		Threshold:          wire.Threshold,
-		RawSchema:          schema,
+		RawSchema:          wire.RawSchema,
 		Fingerprint:        wire.Fingerprint,
 		TrainSamples:       wire.TrainSamples,
 		TrainSaturatedFrac: wire.TrainSaturatedFrac,

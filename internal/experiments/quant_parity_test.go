@@ -48,10 +48,19 @@ func TestTable2QuantBitIdentity(t *testing.T) {
 		t.Fatalf("engineered-corpus hist forest not fully quantized: %d float nodes", q.FloatNodes())
 	}
 
+	// The float reference walks a gob clone of the same trees with the
+	// compiled form dropped.
+	blob, err := f.GobEncode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := new(forest.Forest)
+	if err := ref.GobDecode(blob); err != nil {
+		t.Fatal(err)
+	}
+	ref.DropQuant()
 	fr := ml.FrameOf(x)
-	f.SetQuantPredict(false)
-	want := f.PredictProbaFrameRows(fr, nil)
-	f.SetQuantPredict(true)
+	want := ref.PredictProbaFrameRows(fr, nil)
 
 	for _, workers := range []int{1, 4, 8} {
 		q.SetParallelism(workers)

@@ -6,7 +6,8 @@ import (
 )
 
 // benchRows builds the row-oriented equivalent of a frame, for the
-// row-vs-columnar scan comparison recorded in BENCH_frame.json.
+// row-vs-columnar scan comparison. System-level numbers, frame
+// fingerprinting included, come from bash perfbench/run.sh --trace 1.
 func benchRows(rows, d int, seed int64) [][]float64 {
 	r := rand.New(rand.NewSource(seed))
 	x := make([][]float64, rows)

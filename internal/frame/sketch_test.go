@@ -3,6 +3,7 @@ package frame
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -145,5 +146,24 @@ func TestMomentsObserveAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() { m.Observe(row) })
 	if allocs != 0 {
 		t.Fatalf("Moments.Observe allocates %v/op, want 0", allocs)
+	}
+}
+
+// TestQuantizeMatchesSearchFloat64s pins the equivalence Fingerprint.Bin
+// and the fingerprint occupancy loops rely on: Quantize picks the same
+// bin as sort.SearchFloat64s for every value, NaN and ±Inf included,
+// over edges with repeats.
+func TestQuantizeMatchesSearchFloat64s(t *testing.T) {
+	edges := []float64{-2, -1, -1, 0, 0.5, 0.5, 0.5, 3}
+	vals := []float64{math.NaN(), math.Inf(-1), math.Inf(1), math.Copysign(0, -1)}
+	for _, e := range edges {
+		vals = append(vals, e, math.Nextafter(e, math.Inf(-1)), math.Nextafter(e, math.Inf(1)))
+	}
+	for n := 0; n <= len(edges); n++ {
+		for _, v := range vals {
+			if got, want := int(Quantize(edges[:n], v)), sort.SearchFloat64s(edges[:n], v); got != want {
+				t.Errorf("%d edges, v=%v: Quantize %d, SearchFloat64s %d", n, v, got, want)
+			}
+		}
 	}
 }

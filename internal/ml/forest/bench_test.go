@@ -99,8 +99,7 @@ func benchHistForest(b *testing.B) (*Forest, [][]float64) {
 // the exact same trees.
 func BenchmarkForestPredictBatchHistFloat(b *testing.B) {
 	f, x := benchHistForest(b)
-	f.SetQuantPredict(false)
-	benchPredictBatch(b, f, ml.FrameOf(x))
+	benchPredictBatch(b, floatClone(f), ml.FrameOf(x))
 }
 
 // BenchmarkForestPredictBatchQuant is the compiled uint8-code path over

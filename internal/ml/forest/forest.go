@@ -63,13 +63,12 @@ type Forest struct {
 
 	// binEdges are the per-feature training bin edges retained by the
 	// histogram fit (nil for exact-splitter forests); quant is the
-	// compiled quantized predictor built from them, and quantOff is the
-	// -quant-predict=false routing override. Both serialize with the
-	// forest (bundle v4) so a loaded model predicts quantized without
-	// recompiling from raw data.
+	// compiled quantized predictor built from them. Both serialize with
+	// the forest (bundle v4) so a loaded model predicts quantized without
+	// recompiling from raw data; a forest predicts quantized if and only
+	// if it carries a compiled form.
 	binEdges [][]float64
 	quant    *QuantForest
-	quantOff bool
 }
 
 var _ ml.Classifier = (*Forest)(nil)
@@ -250,7 +249,7 @@ func (f *Forest) fitFrame(fr *frame.Frame, y []int, rows []int) error {
 
 // CompileQuant compiles the fitted forest against the given per-feature
 // bin edges and installs the result: subsequent batch prediction routes
-// through the quantized path (unless SetQuantPredict(false)). The
+// through the quantized path. The
 // histogram fit calls this automatically with its training edges;
 // exact-splitter forests may be compiled explicitly against edges from
 // frame.BinFrame — nodes whose thresholds are not edge values keep the
@@ -266,24 +265,18 @@ func (f *Forest) CompileQuant(edges [][]float64) error {
 }
 
 // Quant returns the compiled quantized predictor, or nil when the
-// forest has not been compiled (exact-splitter fit, legacy bundle).
+// forest has not been compiled (exact-splitter fit, v3 bundle).
 func (f *Forest) Quant() *QuantForest { return f.quant }
 
-// QuantActive reports whether batch prediction currently routes through
-// the quantized path.
-func (f *Forest) QuantActive() bool { return f.quant != nil && !f.quantOff }
-
-// SetQuantPredict toggles quantized batch-prediction routing without
-// discarding the compiled form (the cmd-level -quant-predict flags).
-func (f *Forest) SetQuantPredict(on bool) { f.quantOff = !on }
+// QuantActive reports whether batch prediction routes through the
+// quantized path, i.e. whether the forest carries a compiled form.
+func (f *Forest) QuantActive() bool { return f.quant != nil }
 
 // DropQuant discards the compiled quantized form and its edges; the
-// forest predicts through the float path and serializes as a pre-v4
-// bundle.
-func (f *Forest) DropQuant() {
-	f.binEdges, f.quant = nil, nil
-	f.quantOff = false
-}
+// forest predicts through the float path and serializes as a v3
+// bundle. Applied to a gob clone it is the float reference walk over
+// the same trees.
+func (f *Forest) DropQuant() { f.binEdges, f.quant = nil, nil }
 
 // BinEdges returns the per-feature edges the quantized predictor was
 // compiled against (nil when not compiled; read-only).
@@ -349,7 +342,7 @@ func (f *Forest) PredictProbaFrameRowsInto(fr *frame.Frame, rows []int, dst []fl
 	// accumulation order is unchanged). Row lists over chunk-backed
 	// frames stay on the float path — it reads cells through the store,
 	// while block quantization wants contiguous columns.
-	if q := f.quant; q != nil && !f.quantOff && !(fr.Chunked() && rows != nil) {
+	if q := f.quant; q != nil && !(fr.Chunked() && rows != nil) {
 		q.predictInto(fr, rows, out)
 		return out
 	}

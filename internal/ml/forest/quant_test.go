@@ -63,13 +63,25 @@ func assertBitIdentical(t *testing.T, label string, want, got []float64) {
 	}
 }
 
+// floatClone returns the float reference for f: a gob clone of the same
+// trees with the compiled form dropped.
+func floatClone(f *Forest) *Forest {
+	data, err := f.GobEncode()
+	if err != nil {
+		panic(err)
+	}
+	ref := new(Forest)
+	if err := ref.GobDecode(data); err != nil {
+		panic(err)
+	}
+	ref.DropQuant()
+	return ref
+}
+
 // floatProbs computes the reference probabilities through the float tree
-// walk with quant routing forced off, restoring routing afterwards.
+// walk over a float clone of f.
 func floatProbs(f *Forest, fr *frame.Frame, rows []int) []float64 {
-	f.SetQuantPredict(false)
-	out := f.PredictProbaFrameRows(fr, rows)
-	f.SetQuantPredict(true)
-	return out
+	return floatClone(f).PredictProbaFrameRows(fr, rows)
 }
 
 // TestHistForestCompilesFullyQuantized pins the core lowering guarantee:
@@ -273,6 +285,7 @@ func TestForestBatchPredictAllocations(t *testing.T) {
 	}
 	x, y := quantData(600, 5) // 3 blocks
 	f := fitQuantForest(t, x, y, tree.Hist)
+	ref := floatClone(f)
 	fr := ml.FrameOf(x)
 	dst := make([]float64, fr.Rows())
 
@@ -284,11 +297,11 @@ func TestForestBatchPredictAllocations(t *testing.T) {
 		prep func()
 		call func()
 	}{
-		{"float", func() { f.SetQuantPredict(false) },
+		{"float", func() {},
+			func() { ref.PredictProbaFrameRowsInto(fr, nil, dst) }},
+		{"quant-serial", func() { f.Quant().SetParallelism(1) },
 			func() { f.PredictProbaFrameRowsInto(fr, nil, dst) }},
-		{"quant-serial", func() { f.SetQuantPredict(true); f.Quant().SetParallelism(1) },
-			func() { f.PredictProbaFrameRowsInto(fr, nil, dst) }},
-		{"quant-shard", func() { f.SetQuantPredict(true); f.Quant().SetParallelism(0) },
+		{"quant-shard", func() { f.Quant().SetParallelism(0) },
 			func() { f.PredictProbaFrameRowsInto(shard, nil, shardDst) }},
 	}
 	for _, tc := range cases {

@@ -718,6 +718,9 @@ func (t *Tree) FeatureImportances() []float64 {
 // NumNodes reports the size of the fitted tree.
 func (t *Tree) NumNodes() int { return len(t.feature) }
 
+// NumFeatures returns the input width the tree was fitted over.
+func (t *Tree) NumFeatures() int { return t.nFeatures }
+
 // Slabs exposes the fitted tree's flattened node arrays read-only:
 // node i is (feature[i], threshold[i], left[i], right[i], prob[i]) and
 // feature[i] < 0 marks a leaf (prob[i] is its P(y=1)). The slices alias

@@ -107,23 +107,7 @@ func TestFullCatalogCollection(t *testing.T) {
 
 func TestFullCatalogCountersMonotone(t *testing.T) {
 	eng, _ := newTestRig(t, 300, 3, 0)
-	cat := FullCatalog()
-	col := NewCollector(cat, 12)
-	var prev *Snapshot
-	for i := 0; i < 4; i++ {
-		eng.Tick()
-		snap := col.Collect(eng)
-		if prev != nil {
-			for node, cur := range snap.Host {
-				for j, d := range cat.HostDefs {
-					if d.Kind == Counter && cur[j] < prev.Host[node][j]-1e-9 {
-						t.Fatalf("host counter %s decreased", d.Name)
-					}
-				}
-			}
-		}
-		prev = snap
-	}
+	assertCountersMonotone(t, eng, NewCollector(FullCatalog(), 12), 4)
 }
 
 func TestTrailingIndex(t *testing.T) {

@@ -75,32 +75,40 @@ func TestCatalogIndices(t *testing.T) {
 	}
 }
 
-func TestCollectorCountersMonotone(t *testing.T) {
-	eng, _ := newTestRig(t, 100, 3, 0)
-	cat := DefaultCatalog()
-	col := NewCollector(cat, 1)
-	var prev *Snapshot
-	for i := 0; i < 5; i++ {
+// assertCountersMonotone collects ticks raw readings and fails if any
+// cumulative counter, host or container, decreases between consecutive
+// readings. It reads collectRaw, the reading ObserveTick turns into
+// rates, because the rate conversion clamps a decrease to zero.
+func assertCountersMonotone(t *testing.T, eng *apps.Engine, col *Collector, ticks int) {
+	t.Helper()
+	cat := col.Catalog()
+	var prev *rawTick
+	for i := 0; i < ticks; i++ {
 		eng.Tick()
-		snap := col.Collect(eng)
+		cur := col.collectRaw(eng)
 		if prev != nil {
-			for node, cur := range snap.Host {
+			for ni, h := range cur.host {
 				for j, d := range cat.HostDefs {
-					if d.Kind == Counter && cur[j] < prev.Host[node][j]-1e-9 {
+					if d.Kind == Counter && h[j] < prev.host[ni][j]-1e-9 {
 						t.Fatalf("host counter %s decreased", d.Name)
 					}
 				}
 			}
-			for id, cur := range snap.Ctr {
+			for _, r := range col.plan.refs {
 				for j, d := range cat.ContainerDefs {
-					if d.Kind == Counter && cur[j] < prev.Ctr[id][j]-1e-9 {
+					if d.Kind == Counter && cur.ctr[r.slot][j] < prev.ctr[r.slot][j]-1e-9 {
 						t.Fatalf("container counter %s decreased", d.Name)
 					}
 				}
 			}
 		}
-		prev = snap
+		prev = cur
 	}
+}
+
+func TestCollectorCountersMonotone(t *testing.T) {
+	eng, _ := newTestRig(t, 100, 3, 0)
+	assertCountersMonotone(t, eng, NewCollector(DefaultCatalog(), 1), 5)
 }
 
 func TestAgentFirstObservationDropped(t *testing.T) {

@@ -286,10 +286,8 @@ type ModelInfo struct {
 	Threshold     float64 `json:"threshold"`
 	Trees         int     `json:"trees"`
 	TrainSamples  int     `json:"train_samples"`
-	Legacy        bool    `json:"legacy"`
 	// Fingerprint summarizes the training distribution (per-column
-	// moments; quantile internals are not serialized). Nil for legacy
-	// models.
+	// moments; quantile internals are not serialized).
 	Fingerprint *frame.Fingerprint `json:"fingerprint,omitempty"`
 	// Drift lists the latest completed-window drift scores per app.
 	Drift []lifecycle.AppDrift `json:"drift,omitempty"`
@@ -318,7 +316,6 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 			Threshold:     st.Threshold,
 			Trees:         st.ModelTrees,
 			TrainSamples:  m.TrainSamples,
-			Legacy:        st.LegacyBundle,
 			Fingerprint:   m.Fingerprint,
 			Swaps:         s.svc.SwapHistory(),
 		}

@@ -60,7 +60,8 @@ func histTestModel(tb testing.TB) *core.Model {
 // TestFusedIngestShardWorkerInvariance is the fused-route equivalence
 // proof: a fully-quantized model served through the code-slab path must
 // produce bit-identical predictions to the float scratch-frame route
-// (DisableFusedIngest), at every shard count and forest worker count.
+// (the same model with its forest replaced by a DropQuant'd gob clone),
+// at every shard count and forest worker count.
 // Shard count changes the batch boundaries (which rows share a code
 // slab); worker count changes how blocks fan out inside a walk. Neither
 // may move a single bit.
@@ -72,13 +73,23 @@ func TestFusedIngestShardWorkerInvariance(t *testing.T) {
 		t.Fatal("hist model is not fully quantized; fused-route test premise broken")
 	}
 	tab := features.FromDataset(ds.FilterRuns(1, 22, 23))
+	blob, err := m.Forest.GobEncode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	floatModel := *m
+	floatModel.Forest = new(forest.Forest)
+	if err := floatModel.Forest.GobDecode(blob); err != nil {
+		t.Fatal(err)
+	}
+	floatModel.Forest.DropQuant()
 
 	for _, par := range []int{1, 4, 0} {
 		t.Run(fmt.Sprintf("par%d", par), func(t *testing.T) {
 			q.SetParallelism(par)
 			defer q.SetParallelism(0)
 
-			ref, err := New(Config{Model: m, Shards: 4, DisableFusedIngest: true})
+			ref, err := New(Config{Model: &floatModel, Shards: 4})
 			if err != nil {
 				t.Fatal(err)
 			}

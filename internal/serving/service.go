@@ -63,17 +63,10 @@ type Config struct {
 	Shards int
 	// DriftWindow is the per-app drift window in samples (0 selects
 	// lifecycle.DefaultDriftWindow; negative disables drift monitoring).
-	// Monitoring also requires the model to carry a training fingerprint.
 	DriftWindow int
 	// BundleVersion records the bundle format version the model came from
 	// (0 when the model was constructed in-process rather than loaded).
 	BundleVersion int
-	// DisableFusedIngest forces the ingest predict phase through the float
-	// scratch-frame route even when the active forest is fully quantized.
-	// The fused route (engineered columns → uint8 code slab → tree walk)
-	// is bit-identical; this switch exists for A/B measurement and as an
-	// operational escape hatch.
-	DisableFusedIngest bool
 }
 
 // Prediction is one instance's latest inference.
@@ -140,9 +133,6 @@ type Stats struct {
 	// BundleVersion is the active model's bundle format version (0 when
 	// built in-process).
 	BundleVersion int `json:"bundle_version"`
-	// LegacyBundle reports a model without a training fingerprint — drift
-	// detection is disabled for it.
-	LegacyBundle bool `json:"legacy_bundle"`
 	// QuantPredict reports whether the active model's forest routes batch
 	// prediction through the compiled quantized path.
 	QuantPredict bool `json:"quant_predict"`
@@ -399,11 +389,15 @@ func shardIndex(id string, mask uint64) uint64 {
 	return h & mask
 }
 
-// New builds a service around a trained model. It fails if the model's
-// pipeline predates streaming support.
+// New builds a service around a trained model. It fails if the model
+// carries no training fingerprint or its pipeline predates streaming
+// support.
 func New(cfg Config) (*Service, error) {
 	if cfg.Model == nil {
 		return nil, fmt.Errorf("serving: nil model")
+	}
+	if cfg.Model.Fingerprint == nil {
+		return nil, fmt.Errorf("serving: model carries no training fingerprint")
 	}
 	streamer, err := cfg.Model.Streamer()
 	if err != nil {
@@ -447,7 +441,7 @@ func New(cfg Config) (*Service, error) {
 		pipeGob:   pipeGob,
 		bundleVer: cfg.BundleVersion,
 	})
-	if cfg.Model.Fingerprint != nil && cfg.DriftWindow >= 0 {
+	if cfg.DriftWindow >= 0 {
 		s.drift = lifecycle.NewMonitor(cfg.Model.Fingerprint, cfg.DriftWindow)
 	}
 	engineered := cfg.Model.EngineeredSchema()
@@ -489,14 +483,6 @@ func New(cfg Config) (*Service, error) {
 	reg.GaugeFunc("monitorless_model_generation",
 		"Active model generation (1 at startup, +1 per hot swap).", nil, func() float64 {
 			return float64(s.active.Load().gen)
-		})
-	reg.GaugeFunc("monitorless_model_bundle_legacy",
-		"1 when the active model has no training fingerprint (pre-v3 bundle): drift detection disabled.", nil, func() float64 {
-			mv := s.active.Load()
-			if mv.fp == nil || (mv.bundleVer >= 1 && mv.bundleVer < 3) {
-				return 1
-			}
-			return 0
 		})
 	if s.drift != nil {
 		reg.CounterFunc("monitorless_drift_windows_total",
@@ -757,7 +743,7 @@ func (s *Service) ingestShard(si int, w *pcp.WireObservation, idxs []int32, resp
 		if app == "" {
 			app = appFromID(smp.Instance)
 		}
-		if s.drift != nil && mv.fp != nil {
+		if s.drift != nil {
 			sh.drift.Observe(mv.fp, app, smp.Values)
 		}
 		if !known {
@@ -806,8 +792,7 @@ func (s *Service) ingestShard(si int, w *pcp.WireObservation, idxs []int32, resp
 	// whole-batch predict histogram below).
 	predictStart := time.Now()
 	fused := false
-	if q := mv.model.Forest.Quant(); q != nil && mv.model.Forest.QuantActive() &&
-		q.FullyQuantized() && !s.cfg.DisableFusedIngest {
+	if q := mv.model.Forest.Quant(); q != nil && q.FullyQuantized() {
 		var err error
 		if sh.codes, err = q.QuantizeBatch(sh.batch.Cols(), n, sh.codes); err == nil {
 			if cap(sh.probs) < n {
@@ -1028,7 +1013,6 @@ func (s *Service) Stats() Stats {
 		Threshold:     mv.threshold,
 		ModelGen:      mv.gen,
 		BundleVersion: mv.bundleVer,
-		LegacyBundle:  mv.fp == nil,
 		QuantPredict:  mv.model.Forest.QuantActive(),
 		Swaps:         s.nSwaps.Load(),
 	}
@@ -1049,6 +1033,10 @@ func (s *Service) Swap(m *core.Model, bundleVersion int, reason string) (SwapEve
 	if m == nil || m.Forest == nil || m.Pipeline == nil {
 		s.mSwapRejects.Inc()
 		return SwapEvent{}, fmt.Errorf("serving: swap: incomplete model")
+	}
+	if m.Fingerprint == nil {
+		s.mSwapRejects.Inc()
+		return SwapEvent{}, fmt.Errorf("serving: swap: model carries no training fingerprint")
 	}
 	if h := m.RawSchema.Hash(); h != s.schemaHash {
 		s.mSwapRejects.Inc()
@@ -1112,7 +1100,7 @@ func (s *Service) Swap(m *core.Model, bundleVersion int, reason string) (SwapEve
 		logFallbackSteps(nv.streamer, nv.gen)
 		s.resetInstances()
 	}
-	if s.drift != nil && nv.fp != cur.fp && nv.fp != nil {
+	if s.drift != nil && nv.fp != cur.fp {
 		// A different training distribution invalidates partial windows;
 		// cells rebind lazily on their next Observe.
 		s.drift.Reset(nv.fp)

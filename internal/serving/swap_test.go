@@ -386,7 +386,6 @@ func TestDriftMonitorScoresShiftedTraffic(t *testing.T) {
 		"monitorless_drift_windows_total",
 		"monitorless_model_swaps_total",
 		"monitorless_model_generation",
-		"monitorless_model_bundle_legacy",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %s", want)
@@ -605,7 +604,7 @@ func TestModelEndpoint(t *testing.T) {
 	rec = httptest.NewRecorder()
 	srv.ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
 	hb := rec.Body.String()
-	for _, want := range []string{`"model_gen": 2`, `"bundle_version": 3`, `"schema_hash"`, `"legacy_bundle": false`, `"swaps": 1`} {
+	for _, want := range []string{`"model_gen": 2`, `"bundle_version": 3`, `"schema_hash"`, `"swaps": 1`} {
 		if !strings.Contains(hb, want) {
 			t.Errorf("/healthz missing %s in:\n%s", want, hb)
 		}

@@ -1,10 +1,11 @@
 // Command benchdiff compares two BENCH_*.json reports and fails when a
 // benchmark regressed past a threshold. It walks both files generically,
 // collecting every object that carries a "benchmark" name plus a
-// numeric "ns_row" or "ns_op" (directly or under an "after" sub-object),
-// so it reads BENCH_predict.json and the older BENCH_treehist.json shape
-// alike; benchmarks present in only one file are reported but never
-// fail the diff.
+// numeric "ns_row" or "ns_op", so it reads every report a committed
+// script writes (BENCH_predict.json, BENCH_ingest.json); benchmarks
+// present in only one file are reported but never fail the diff.
+// End-to-end and per-stage numbers for the whole system come from the
+// repository benchmark instead: bash perfbench/run.sh --trace 1.
 //
 // Absolute nanoseconds drift with the host's clock-for-clock speed
 // between runs, so the regression gate supports normalization:
@@ -161,15 +162,9 @@ func walk(v any, es map[string]entry) {
 	switch t := v.(type) {
 	case map[string]any:
 		if name, ok := t["benchmark"].(string); ok {
-			// Metrics may sit alongside "benchmark" or under "after"
-			// (the before/after report shape).
-			src := t
-			if after, ok := t["after"].(map[string]any); ok {
-				src = after
-			}
-			if ns, ok := src["ns_row"].(float64); ok {
+			if ns, ok := t["ns_row"].(float64); ok {
 				es[name] = entry{name: name, ns: ns, unit: "ns/row"}
-			} else if ns, ok := src["ns_op"].(float64); ok {
+			} else if ns, ok := t["ns_op"].(float64); ok {
 				es[name] = entry{name: name, ns: ns, unit: "ns/op"}
 			}
 		}

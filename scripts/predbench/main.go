@@ -145,12 +145,21 @@ func run(out string, minSpeedup float64) error {
 		benchRow("PredictBatchDenseExact", exact, dense,
 			"exact-splitter forest, float SoA walk: the pre-change committed baseline benchmark (BenchmarkForestPredictBatch)"))
 
-	hist.SetQuantPredict(false)
-	floatRow := benchRow("PredictBatchDenseFloatHist", hist, dense,
+	// The float reference is a gob clone of the same trees with the
+	// compiled form dropped.
+	gobImg, err := hist.GobEncode()
+	if err != nil {
+		return err
+	}
+	histFloat := new(forest.Forest)
+	if err := histFloat.GobDecode(gobImg); err != nil {
+		return err
+	}
+	histFloat.DropQuant()
+	floatRow := benchRow("PredictBatchDenseFloatHist", histFloat, dense,
 		"the same hist-trained trees through the float walk: the before side of the quantized comparison")
 	rep.Results = append(rep.Results, floatRow)
 
-	hist.SetQuantPredict(true)
 	quantRow := benchRow("PredictBatchDenseQuant", hist, dense,
 		"compiled uint8-code path: 256-row blocks quantized once via per-column grids, packed branchless 4-row-interleaved walk")
 	rep.Results = append(rep.Results, quantRow)

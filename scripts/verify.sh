@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
-# Repo verification: the tier-1 lane (build + vet + tests), the race
-# lane added with the parallel execution layer, the allocation lanes,
-# the benchmark smoke lane, and the HTTP serving smoke lane. Everything
+# Repo verification: the tier-1 lane (build + vet + tests), the
+# perfbench build lane (perfbench is its own module, so the root build
+# never compiles it; this lane makes a deleted export it calls fail),
+# the race lane added with the parallel execution layer, the allocation
+# lanes, the benchmark smoke lane, and the HTTP serving smoke lane. Everything
 # the worker pool touches (CV folds, dataset run groups, experiment
 # sweeps) runs under the race detector; -count=1 defeats the test cache
 # so data races cannot hide behind cached passes. The allocation lanes
@@ -79,6 +81,9 @@ go build ./...
 echo "==> go vet ./..."
 go vet ./...
 
+echo "==> perfbench build lane (the benchmark module must compile against this tree)"
+(cd perfbench && GOPROXY=off go build -o /dev/null .)
+
 echo "==> go test ./..."
 go test $short ./...
 
@@ -97,7 +102,7 @@ go test -run TestTreeBuilderAllocations -count=1 -v ./internal/ml/tree/
 echo "==> simulator allocation lane (arbitration, tick arena, frame-native collection must stay allocation-free)"
 go test -run TestArbitrateAllocations -count=1 -v ./internal/cluster/
 go test -run 'TestEngineTickAllocations' -count=1 -v ./internal/apps/
-go test -run 'TestObserveTickAllocations|TestCollectSnapshotReuse' -count=1 -v ./internal/pcp/
+go test -run 'TestObserveTickAllocations' -count=1 -v ./internal/pcp/
 
 echo "==> go test -run TestGenerateGoldenFrameBytes -count=1 ./internal/dataset/ (byte-identical dataset golden)"
 go test -run TestGenerateGoldenFrameBytes -count=1 -v ./internal/dataset/
